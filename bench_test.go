@@ -757,11 +757,10 @@ func BenchmarkDeriveParallel(b *testing.B) {
 }
 
 // BenchmarkDeriveFusedStream compares the two ways of turning raw trace
-// bytes into rules: the phased pipeline (decode+import everything, then
-// derive) against the fused streaming pipeline (core.StreamDeriver,
-// which speculatively mines sealed snapshots while later sync blocks
-// decode). Both produce byte-identical results; the fused variant hides
-// mining latency behind decode when spare cores exist.
+// bytes into rules: db.Import + DeriveAll ("phased") against the
+// core.StreamDeriver the commands and lockdocd use ("fused": Consume,
+// Seal, one delta pass). Both produce byte-identical results and do the
+// same work, so the two variants should read about 1.0x.
 func BenchmarkDeriveFusedStream(b *testing.B) {
 	synthFixture(b) // populate synthRaw
 	opt := core.Options{AcceptThreshold: 0.9, Parallelism: runtime.GOMAXPROCS(0)}
@@ -786,7 +785,6 @@ func BenchmarkDeriveFusedStream(b *testing.B) {
 			if _, _, _, err := sd.Derive(context.Background()); err != nil {
 				b.Fatal(err)
 			}
-			sd.Close()
 		}
 	})
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -306,5 +307,86 @@ func TestSortChecks(t *testing.T) {
 	SortChecks(rs)
 	if rs[0].Spec.Member != "a" || rs[1].Spec.Member != "c" || rs[2].Spec.Member != "b" {
 		t.Errorf("order = %v", []string{rs[0].Spec.Member, rs[1].Spec.Member, rs[2].Spec.Member})
+	}
+}
+
+// tieFixture is a store whose violations tie on every pre-existing sort
+// key: every member of one type is written and read under one dominant
+// lock, plus once under each of three other locks, from two functions
+// and two stacks with equal counts.
+func tieFixture(t *testing.T) *db.DB {
+	t.Helper()
+	d := db.New(db.Config{})
+	seq := uint64(0)
+	add := func(ev trace.Event) {
+		seq++
+		ev.Seq, ev.TS = seq, seq
+		if err := d.Add(&ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(trace.Event{Kind: trace.KindDefType, TypeID: 1, TypeName: "obj", Members: []trace.MemberDef{
+		{Name: "a", Offset: 0, Size: 8}, {Name: "b", Offset: 8, Size: 8},
+	}})
+	for f := uint32(1); f <= 2; f++ {
+		add(trace.Event{Kind: trace.KindDefFunc, FuncID: f, File: "obj.c", Line: 10 * f, Func: fmt.Sprintf("op%d", f)})
+		add(trace.Event{Kind: trace.KindDefStack, StackID: f, StackFuncs: []uint32{f}})
+	}
+	add(trace.Event{Kind: trace.KindAlloc, Ctx: 1, AllocID: 1, TypeID: 1, Addr: 0x1000, Size: 16})
+	for l := uint64(1); l <= 4; l++ {
+		add(trace.Event{Kind: trace.KindDefLock, LockID: l, LockName: fmt.Sprintf("lock%d", l), Class: trace.LockSpin, LockAddr: 0x100 * l})
+	}
+	access := func(lock uint64, kind trace.Kind, addr uint64, fn, stack uint32) {
+		add(trace.Event{Kind: trace.KindAcquire, Ctx: 1, LockID: lock, FuncID: fn})
+		add(trace.Event{Kind: kind, Ctx: 1, Addr: addr, AccessSize: 8, FuncID: fn, StackID: stack})
+		add(trace.Event{Kind: trace.KindRelease, Ctx: 1, LockID: lock, FuncID: fn})
+	}
+	for _, kind := range []trace.Kind{trace.KindWrite, trace.KindRead} {
+		for _, addr := range []uint64{0x1000, 0x1008} {
+			for i := 0; i < 40; i++ {
+				access(1, kind, addr, 1, 1)
+			}
+			for lock := uint64(2); lock <= 4; lock++ {
+				for fn := uint32(1); fn <= 2; fn++ {
+					for stack := uint32(1); stack <= 2; stack++ {
+						access(lock, kind, addr, fn, stack)
+					}
+				}
+			}
+		}
+	}
+	d.Flush()
+	return d
+}
+
+// TestViolationOrderDeterministic: violations and examples that tie on
+// the type, member, event-count and function keys still come out in one
+// order, run after run, although they are collected from maps.
+func TestViolationOrderDeterministic(t *testing.T) {
+	d := tieFixture(t)
+	results, err := core.DeriveAll(context.Background(), d, core.Options{AcceptThreshold: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		var b strings.Builder
+		viols := FindViolations(d, results)
+		for _, v := range viols {
+			fmt.Fprintf(&b, "%s.%s %s held=%s events=%d\n", v.Group.TypeLabel(), v.Group.MemberName(),
+				v.Group.AccessType(), d.SeqString(v.Held), v.Events)
+		}
+		if err := WriteViolationsJSON(&b, Examples(d, viols, 0)); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := render()
+	if n := strings.Count(want, "events=4\n"); n != 12 {
+		t.Fatalf("fixture has %d tied violations, want 12:\n%s", n, want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := render(); got != want {
+			t.Fatalf("run %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
 	}
 }

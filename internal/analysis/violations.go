@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/csv"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -26,6 +28,11 @@ type Violation struct {
 // FindViolations scans derivation results for observations violating the
 // winning rule. Rules with full support (s_r = 1) cannot be violated;
 // the "no lock" rule is satisfied by every access.
+//
+// Violations are ordered by type label, member and descending event
+// count; ties fall back to writes before reads and then the held
+// sequence, which makes the order total and independent of map
+// iteration.
 func FindViolations(d *db.DB, results []core.Result) []Violation {
 	var out []Violation
 	for _, res := range results {
@@ -42,17 +49,32 @@ func FindViolations(d *db.DB, results []core.Result) []Violation {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Group.TypeLabel() != b.Group.TypeLabel() {
-			return a.Group.TypeLabel() < b.Group.TypeLabel()
+	slices.SortFunc(out, func(a, b Violation) int {
+		if c := cmp.Compare(a.Group.TypeLabel(), b.Group.TypeLabel()); c != 0 {
+			return c
 		}
-		if a.Group.MemberName() != b.Group.MemberName() {
-			return a.Group.MemberName() < b.Group.MemberName()
+		if c := cmp.Compare(a.Group.MemberName(), b.Group.MemberName()); c != 0 {
+			return c
 		}
-		return a.Events > b.Events
+		if c := cmp.Compare(b.Events, a.Events); c != 0 {
+			return c
+		}
+		return compareTies(a, b)
 	})
 	return out
+}
+
+// compareTies breaks ties between violations of equal rank: writes
+// before reads, then by held sequence (key IDs in order, as in the
+// sequence's Signature).
+func compareTies(a, b Violation) int {
+	if a.Group.Key.Write != b.Group.Key.Write {
+		if a.Group.Key.Write {
+			return -1
+		}
+		return 1
+	}
+	return slices.Compare(a.Held, b.Held)
 }
 
 func compliesWith(rule, held db.LockSeq) bool {
@@ -172,7 +194,9 @@ func WriteCounterexamplesCSV(w io.Writer, d *db.DB, violations []Violation) erro
 }
 
 // Examples renders the top violating contexts, at most max rows, ordered
-// by descending event count.
+// by descending event count, then type label and function. Ties fall
+// back to writes before reads, the held sequence, the stack and the
+// member, so the order is total and independent of map iteration.
 func Examples(d *db.DB, violations []Violation, max int) []ViolationExample {
 	type flat struct {
 		v      Violation
@@ -185,14 +209,23 @@ func Examples(d *db.DB, violations []Violation, max int) []ViolationExample {
 			all = append(all, flat{v: v, ctx: c, events: n})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].events != all[j].events {
-			return all[i].events > all[j].events
+	slices.SortFunc(all, func(a, b flat) int {
+		if c := cmp.Compare(b.events, a.events); c != 0 {
+			return c
 		}
-		if all[i].v.Group.TypeLabel() != all[j].v.Group.TypeLabel() {
-			return all[i].v.Group.TypeLabel() < all[j].v.Group.TypeLabel()
+		if c := cmp.Compare(a.v.Group.TypeLabel(), b.v.Group.TypeLabel()); c != 0 {
+			return c
 		}
-		return all[i].ctx.FuncID < all[j].ctx.FuncID
+		if c := cmp.Compare(a.ctx.FuncID, b.ctx.FuncID); c != 0 {
+			return c
+		}
+		if c := compareTies(a.v, b.v); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.ctx.StackID, b.ctx.StackID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v.Group.MemberName(), b.v.Group.MemberName())
 	})
 	if max > 0 && len(all) > max {
 		all = all[:max]

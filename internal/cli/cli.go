@@ -326,14 +326,11 @@ func DeriveAll(ctx context.Context, d *db.DB, opt core.Options) ([]core.Result, 
 	return core.DeriveAll(ctx, d, opt)
 }
 
-// StreamDerive is the fused import+derive entry point: it decodes the
-// trace at path into a fresh store through a core.StreamDeriver, which
-// mines speculative snapshots on a background worker while later sync
-// blocks are still decoding, then runs the definitive pass. The
-// returned view and results are byte-identical to OpenDB + DeriveAll
-// of the same file (the view is a sealed snapshot; render and
-// RecoveredFromDB accept it unchanged), but on a multi-core box the
-// wall time approaches max(decode, mine) instead of their sum.
+// StreamDerive is the import+derive entry point: it decodes the trace
+// at path into a fresh store through a core.StreamDeriver, seals it
+// and runs the derivation pass. The returned view and results are
+// byte-identical to OpenDB + DeriveAll of the same file (the view is a
+// sealed snapshot; render and RecoveredFromDB accept it unchanged).
 func StreamDerive(ctx context.Context, path string, opts Options, opt core.Options) (*db.DB, []core.Result, core.StreamStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -349,7 +346,6 @@ func StreamDerive(ctx context.Context, path string, opts Options, opt core.Optio
 		return nil, nil, core.StreamStats{}, fmt.Errorf("reading %s: %w", path, err)
 	}
 	sd := core.NewStreamDeriver(db.New(ImportConfig(opts)), opt)
-	defer sd.Close()
 	if _, err := sd.Consume(r); err != nil {
 		return nil, nil, core.StreamStats{}, err
 	}
@@ -510,14 +506,13 @@ func (f FollowFlags) Backoff(reg *obs.Registry) resilience.Backoff {
 // Follow tails the trace at path with the evaluation's filter
 // configuration: each poll decodes only the bytes appended since the
 // last one (resuming transaction reconstruction from the live
-// per-context state) through a fused core.StreamDeriver, and emit is
+// per-context state) through a core.StreamDeriver, and emit is
 // called with a sealed snapshot, the derived rules and the window's
 // streaming statistics — once after the initial read, then again after
 // every poll that appended events. appended is the event count of the
 // poll. The results are byte-identical to a batch import + DeriveAll
-// of the file's current contents: between emits the deriver mines
-// speculative snapshots in the background, and each emit's definitive
-// pass re-mines only what speculation has not already covered, so
+// of the file's current contents: each emit's pass re-mines only the
+// groups the window's events changed since the previous emit, so
 // stats.Delta.Remined reflects the groups the window actually touched.
 // Follow returns when emit fails, the poll budget is exhausted, or ctx
 // is cancelled (Main cancels it on SIGINT/SIGTERM, so -follow exits
@@ -574,7 +569,6 @@ func Follow(ctx context.Context, path string, opts Options, ff FollowFlags, opt 
 		cfg.Metrics = db.NewMetrics(opts.Obs)
 	}
 	sd := core.NewStreamDeriver(db.New(cfg), opt)
-	defer sd.Close()
 
 	emitted := false
 	for polls := 0; ; polls++ {

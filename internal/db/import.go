@@ -1,8 +1,11 @@
 package db
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,9 +67,9 @@ type DB struct {
 	// before the first post-share insert.
 	keyIDsShared bool
 	groups       map[GroupKey]*ObsGroup
-	subbed  map[string]bool
-	blFuncs map[string]bool
-	blMembs map[string]map[string]bool
+	subbed       map[string]bool
+	blFuncs      map[string]bool
+	blMembs      map[string]map[string]bool
 
 	// Import statistics.
 	RawAccesses      uint64 // memory-access events seen
@@ -86,14 +89,25 @@ type DB struct {
 	BytesSkipped      int64 // trace bytes the reader discarded during resync
 
 	// internal streaming state
-	slots       map[uint64]*Allocation // 8-byte slot -> live allocation
+	addrs       addrIndex // live allocations by address range
 	ctxState    map[uint32]*ctxState
+	lastCtxID   uint32
+	lastCtx     *ctxState       // ctxState[lastCtxID], nil before the first lookup
 	stackBlMemo map[uint32]int8 // stackID -> -1 not blacklisted / 1 blacklisted
+	freePend    []*pendObs      // recycled pending observations
 	noWoR       bool
 	lenient     bool
 	metrics     *Metrics
 	gen         uint64 // current generation; advanced by Seal
 	sealed      bool   // read-only view produced by Seal
+
+	// Interning memos of the live store. KeyIDs index this store's own
+	// key table, which a sealed view copies on write and extends with
+	// IDs the live store may later hand out differently, so the memos
+	// belong to one *DB: views and decoded stores leave them nil and
+	// intern directly.
+	keyMemo map[*LockInfo][3]KeyID // lock -> 1 + key ID per relation (Global, ES, EO); 0 unset
+	seqMemo map[seqMemoKey]seqMemo // deduplicated key IDs -> sequence
 
 	// Lazy-materialization state for stores decoded from a state
 	// snapshot (see state.go): src pulls a stub group's observations on
@@ -104,13 +118,52 @@ type DB struct {
 	srcIdx     map[*ObsGroup]int
 	hydrateMu  sync.Mutex
 	hydrateErr error
+
+	lookup lookupIndex // sealed views only; see lookup.go
 }
 
 // ctxState tracks per-execution-context transaction reconstruction.
 type ctxState struct {
-	held    []heldLock
-	pending map[pendKey]*pendObs
-	order   []pendKey // scratch for deterministic flush iteration
+	held []heldLock
+	// pending holds the open transaction's observations, sorted at
+	// flush. Most transactions touch a handful of members, so lookup
+	// scans it; index takes over once a transaction outgrows
+	// pendScanMax.
+	pending []*pendObs
+	index   map[pendKey]*pendObs
+}
+
+// pendScanMax is the pending-observation count up to which lookup
+// scans instead of hashing.
+const pendScanMax = 16
+
+// find returns the pending observation of (allocation, member), if any.
+func (cs *ctxState) find(k pendKey) *pendObs {
+	if len(cs.pending) > pendScanMax {
+		return cs.index[k]
+	}
+	for _, po := range cs.pending {
+		if po.alloc.ID == k.alloc && po.member == k.member {
+			return po
+		}
+	}
+	return nil
+}
+
+// add appends a new pending observation under key k.
+func (cs *ctxState) add(k pendKey, po *pendObs) {
+	cs.pending = append(cs.pending, po)
+	switch n := len(cs.pending); {
+	case n == pendScanMax+1:
+		if cs.index == nil {
+			cs.index = make(map[pendKey]*pendObs)
+		}
+		for _, p := range cs.pending {
+			cs.index[pendKey{alloc: p.alloc.ID, member: p.member}] = p
+		}
+	case n > pendScanMax+1:
+		cs.index[k] = po
+	}
 }
 
 type heldLock struct {
@@ -123,17 +176,42 @@ type pendKey struct {
 	member int
 }
 
+// pendObs folds one (allocation, member) pair of an open transaction.
+// The per-context event counts are short slices: a member is touched
+// from one or two code locations per transaction, so a linear scan
+// beats hashing, and a recycled pendObs keeps its capacity.
 type pendObs struct {
-	alloc      *Allocation
-	member     int
-	reads      uint64
-	writes     uint64
-	readCtx    AccessCtx // context of the first read
-	writeCtx   AccessCtx // context of the first write
-	haveRead   bool
-	haveWrite  bool
-	readEvents map[AccessCtx]uint64
-	wrEvents   map[AccessCtx]uint64
+	alloc     *Allocation
+	member    int
+	reads     uint64
+	writes    uint64
+	readCtxs  []ctxCount
+	writeCtxs []ctxCount
+}
+
+type ctxCount struct {
+	ctx AccessCtx
+	n   uint64
+}
+
+// countCtx adds one event of context c to counts.
+func countCtx(counts []ctxCount, c AccessCtx) []ctxCount {
+	for i := range counts {
+		if counts[i].ctx == c {
+			counts[i].n++
+			return counts
+		}
+	}
+	return append(counts, ctxCount{ctx: c, n: 1})
+}
+
+// comparePend orders pending observations by (allocation, member), the
+// commit order that keeps lock-key interning deterministic.
+func comparePend(a, b *pendObs) int {
+	if c := cmp.Compare(a.alloc.ID, b.alloc.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.member, b.member)
 }
 
 // New creates an empty store with the given filter configuration.
@@ -150,9 +228,10 @@ func New(cfg Config) *DB {
 		subbed:      make(map[string]bool),
 		blFuncs:     make(map[string]bool),
 		blMembs:     make(map[string]map[string]bool),
-		slots:       make(map[uint64]*Allocation),
 		ctxState:    make(map[uint32]*ctxState),
 		stackBlMemo: make(map[uint32]int8),
+		keyMemo:     make(map[*LockInfo][3]KeyID),
+		seqMemo:     make(map[seqMemoKey]seqMemo),
 	}
 	for _, f := range cfg.FuncBlacklist {
 		db.blFuncs[f] = true
@@ -198,15 +277,6 @@ func Import(r *trace.Reader, cfg Config) (*DB, error) {
 // yields the same observations a batch Import of the concatenated trace
 // would.
 func (db *DB) Consume(r *trace.Reader) (int, error) {
-	return db.ConsumeStream(r, nil)
-}
-
-// ConsumeStream is Consume with a per-event hook: sink, when non-nil,
-// runs after each event has been applied to the store. It is how the
-// fused ingest→derive pipeline (core.StreamDeriver) observes ingestion
-// progress and takes speculative snapshots mid-stream without a second
-// decode of the trace.
-func (db *DB) ConsumeStream(r *trace.Reader, sink func()) (int, error) {
 	if db.sealed {
 		return 0, errSealed
 	}
@@ -225,9 +295,6 @@ func (db *DB) ConsumeStream(r *trace.Reader, sink func()) (int, error) {
 			return n, err
 		}
 		n++
-		if sink != nil {
-			sink()
-		}
 	}
 	db.Corruptions = append(db.Corruptions, r.Corruptions()...)
 	db.BytesSkipped += r.BytesSkipped()
@@ -282,9 +349,7 @@ func (db *DB) Add(ev *trace.Event) error {
 			Addr: ev.Addr, Size: ev.Size, Live: true,
 		}
 		db.Allocs[a.ID] = a
-		for off := uint64(0); off < uint64(ev.Size); off += 8 {
-			db.slots[ev.Addr+off] = a
-		}
+		db.addrs.insert(a)
 	case trace.KindFree:
 		a := db.Allocs[ev.AllocID]
 		if a == nil {
@@ -295,11 +360,7 @@ func (db *DB) Add(ev *trace.Event) error {
 			return fmt.Errorf("db: free of unknown allocation %d", ev.AllocID)
 		}
 		a.Live = false
-		for off := uint64(0); off < uint64(a.Size); off += 8 {
-			if db.slots[a.Addr+off] == a {
-				delete(db.slots, a.Addr+off)
-			}
-		}
+		db.addrs.remove(a)
 	case trace.KindAcquire:
 		cs := db.ctx(ev.Ctx)
 		db.flushCtx(cs)
@@ -353,12 +414,7 @@ func (db *DB) Flush() {
 
 // sortedCtxIDs returns the context IDs of state in ascending order.
 func sortedCtxIDs(state map[uint32]*ctxState) []uint32 {
-	ids := make([]uint32, 0, len(state))
-	for id := range state {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return slices.Sorted(maps.Keys(state))
 }
 
 // DroppedEvents sums everything a lenient import skipped rather than
@@ -383,17 +439,21 @@ func (db *DB) DegradedSummary() string {
 }
 
 func (db *DB) ctx(id uint32) *ctxState {
+	if cs := db.lastCtx; cs != nil && db.lastCtxID == id {
+		return cs // events of one context come in runs
+	}
 	cs := db.ctxState[id]
 	if cs == nil {
-		cs = &ctxState{pending: make(map[pendKey]*pendObs)}
+		cs = &ctxState{}
 		db.ctxState[id] = cs
 	}
+	db.lastCtxID, db.lastCtx = id, cs
 	return cs
 }
 
 // resolve maps an address to the live allocation containing it.
 func (db *DB) resolve(addr uint64) *Allocation {
-	return db.slots[addr&^7]
+	return db.addrs.lookup(addr)
 }
 
 // stackBlacklisted reports whether any frame of the stack is
@@ -463,31 +523,31 @@ func (db *DB) access(ev *trace.Event) {
 
 	cs := db.ctx(ev.Ctx)
 	pk := pendKey{alloc: a.ID, member: mi}
-	po := cs.pending[pk]
+	po := cs.find(pk)
 	if po == nil {
-		po = &pendObs{
-			alloc: a, member: mi,
-			readEvents: make(map[AccessCtx]uint64),
-			wrEvents:   make(map[AccessCtx]uint64),
-		}
-		cs.pending[pk] = po
+		po = db.newPend(a, mi)
+		cs.add(pk, po)
 	}
 	actx := AccessCtx{FuncID: ev.FuncID, StackID: ev.StackID}
 	if ev.Kind == trace.KindWrite {
-		if !po.haveWrite {
-			po.haveWrite = true
-			po.writeCtx = actx
-		}
 		po.writes++
-		po.wrEvents[actx]++
+		po.writeCtxs = countCtx(po.writeCtxs, actx)
 	} else {
-		if !po.haveRead {
-			po.haveRead = true
-			po.readCtx = actx
-		}
 		po.reads++
-		po.readEvents[actx]++
+		po.readCtxs = countCtx(po.readCtxs, actx)
 	}
+}
+
+// newPend returns an empty pending observation, recycled when possible.
+func (db *DB) newPend(a *Allocation, member int) *pendObs {
+	n := len(db.freePend)
+	if n == 0 {
+		return &pendObs{alloc: a, member: member}
+	}
+	po := db.freePend[n-1]
+	db.freePend = db.freePend[:n-1]
+	*po = pendObs{alloc: a, member: member, readCtxs: po.readCtxs[:0], writeCtxs: po.writeCtxs[:0]}
+	return po
 }
 
 // flushCtx commits the pending folded observations of one context. It is
@@ -501,103 +561,162 @@ func (db *DB) flushCtx(cs *ctxState) {
 		return
 	}
 	db.Transactions++
-	for _, pk := range sortedPendKeys(cs.pending, &cs.order) {
-		po := cs.pending[pk]
-		delete(cs.pending, pk)
-		db.commitObs(cs.held, po, true)
+	slices.SortFunc(cs.pending, comparePend)
+	db.commitTxn(cs.held, cs.pending)
+	indexed := len(cs.pending) > pendScanMax
+	for i, po := range cs.pending {
+		if indexed {
+			delete(cs.index, pendKey{alloc: po.alloc.ID, member: po.member})
+		}
+		db.freePend = append(db.freePend, po)
+		cs.pending[i] = nil
+	}
+	cs.pending = cs.pending[:0]
+}
+
+// commitTxn commits the pending observations of one transaction, in
+// the given (sorted) order, under its held-lock list. It leaves the
+// observations untouched, so Seal can preview the live store's open
+// transactions on a view.
+//
+// Every observation of a transaction shares the held locks; only an
+// allocation that embeds one of them sees a different sequence (an ES
+// key instead of EO). So the sequence of the first allocation owning
+// none of the locks serves all such allocations, and consecutive
+// observations of one allocation share theirs. Sequences are still
+// resolved in commit order, so lock keys intern in exactly the order a
+// per-observation lookup would intern them.
+func (db *DB) commitTxn(held []heldLock, list []*pendObs) {
+	var last *Allocation
+	var cur, foreign seqMemo
+	haveForeign := false
+	for _, po := range list {
+		if po.alloc != last {
+			last = po.alloc
+			if owns := ownsAny(held, last); owns || !haveForeign {
+				cur.seq, cur.sig = db.seqFor(held, last)
+				if !owns {
+					foreign, haveForeign = cur, true
+				}
+			} else {
+				cur = foreign
+			}
+		}
+		db.commitObs(po, cur.seq, cur.sig)
 	}
 }
 
-// sortedPendKeys returns the pending keys ordered by (alloc, member),
-// reusing *scratch to avoid a per-transaction allocation.
-func sortedPendKeys(pending map[pendKey]*pendObs, scratch *[]pendKey) []pendKey {
-	keys := (*scratch)[:0]
-	for pk := range pending {
-		keys = append(keys, pk)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].alloc != keys[j].alloc {
-			return keys[i].alloc < keys[j].alloc
+// ownsAny reports whether a embeds any of the held locks (an ES
+// relation in lockKeyID; owner 0 marks a global lock).
+func ownsAny(held []heldLock, a *Allocation) bool {
+	for _, h := range held {
+		if h.lock.OwnerID != 0 && h.lock.OwnerID == a.ID {
+			return true
 		}
-		return keys[i].member < keys[j].member
-	})
-	*scratch = keys
-	return keys
+	}
+	return false
 }
 
 // commitObs folds one pending observation into the store under the
-// given held-lock list. When destructive is false (Seal previewing the
-// live store's open transactions) the pending observation is left
-// untouched for the live store to commit later.
-func (db *DB) commitObs(held []heldLock, po *pendObs, destructive bool) {
-	seq := db.seqFor(held, po.alloc)
+// lock sequence of its transaction.
+func (db *DB) commitObs(po *pendObs, seq LockSeq, sig string) {
 	if db.noWoR {
 		// Ablation mode: keep reads and writes as separate
 		// observations.
-		if po.haveRead {
-			db.commit(po.alloc, po.member, false, seq, po.reads, po.readEvents)
+		if po.reads > 0 {
+			db.commit(po.alloc, po.member, false, seq, sig, po.reads, po.readCtxs, nil)
 		}
-		if po.haveWrite {
-			db.commit(po.alloc, po.member, true, seq, po.writes, po.wrEvents)
+		if po.writes > 0 {
+			db.commit(po.alloc, po.member, true, seq, sig, po.writes, po.writeCtxs, nil)
 		}
 		return
 	}
 	// Write-over-read: a transaction containing both treats the
 	// folded observation as a write (Sec. 4.2).
-	write := po.haveWrite
-	events := po.reads + po.writes
-	ctxEvents := po.wrEvents
-	if !write {
-		ctxEvents = po.readEvents
-	} else if len(po.readEvents) > 0 {
-		if destructive {
-			for c, n := range po.readEvents {
-				ctxEvents[c] += n
-			}
-		} else {
-			merged := make(map[AccessCtx]uint64, len(po.wrEvents)+len(po.readEvents))
-			for c, n := range po.wrEvents {
-				merged[c] = n
-			}
-			for c, n := range po.readEvents {
-				merged[c] += n
-			}
-			ctxEvents = merged
-		}
+	if po.writes > 0 {
+		db.commit(po.alloc, po.member, true, seq, sig, po.reads+po.writes, po.writeCtxs, po.readCtxs)
+	} else {
+		db.commit(po.alloc, po.member, false, seq, sig, po.reads, po.readCtxs, nil)
 	}
-	db.commit(po.alloc, po.member, write, seq, events, ctxEvents)
+}
+
+// maxMemoLocks bounds the held-lock depth whose sequences seqMemo
+// caches; deeper nesting is interned directly.
+const maxMemoLocks = 8
+
+// seqMemoKey is a deduplicated key-ID sequence in comparable form.
+type seqMemoKey struct {
+	n   uint8
+	ids [maxMemoLocks]KeyID
+}
+
+type seqMemo struct {
+	seq LockSeq
+	sig string
 }
 
 // seqFor maps the held-lock list to lock keys relative to the accessed
-// allocation, collapsing duplicate keys (keeping first acquisition).
-// Held lists are short, so dedup is a linear scan rather than a map.
-func (db *DB) seqFor(held []heldLock, a *Allocation) LockSeq {
+// allocation, collapsing duplicate keys (keeping first acquisition),
+// and returns the sequence with its Signature. Held lists are short,
+// so dedup is a linear scan rather than a map. On the live store both
+// the per-lock key IDs and the resulting sequences are memoized: the
+// same few held sets recur across the whole trace, so a transaction
+// commit costs no interning, no string building and no allocation.
+// Memoized sequences are shared and must not be mutated.
+func (db *DB) seqFor(held []heldLock, a *Allocation) (LockSeq, string) {
 	if len(held) == 0 {
-		return nil
+		return nil, ""
 	}
-	seq := make(LockSeq, 0, len(held))
-outer:
+	var k seqMemoKey
+	ids := k.ids[:0]
+	memo := db.seqMemo != nil && len(held) <= maxMemoLocks
+	if !memo {
+		ids = make([]KeyID, 0, len(held))
+	}
 	for _, h := range held {
-		id := db.intern(db.keyFor(h.lock, a))
-		for _, s := range seq {
-			if s == id {
-				continue outer
-			}
+		if id := db.lockKeyID(h.lock, a); !slices.Contains(ids, id) {
+			ids = append(ids, id)
 		}
-		seq = append(seq, id)
 	}
-	return seq
+	if memo {
+		k.n = uint8(len(ids))
+		if m, ok := db.seqMemo[k]; ok {
+			return m.seq, m.sig
+		}
+	}
+	seq := LockSeq(slices.Clone(ids))
+	sig := seq.Signature()
+	if memo {
+		db.seqMemo[k] = seqMemo{seq: seq, sig: sig}
+	}
+	return seq, sig
 }
 
-func (db *DB) keyFor(li *LockInfo, a *Allocation) LockKey {
-	switch {
-	case li.OwnerID == 0:
-		return LockKey{Kind: Global, Class: li.Class, Name: li.Name}
-	case li.OwnerID == a.ID:
-		return LockKey{Kind: ES, Class: li.Class, Name: li.Name, OwnerType: li.OwnerType}
-	default:
-		return LockKey{Kind: EO, Class: li.Class, Name: li.Name, OwnerType: li.OwnerType}
+// lockKeyID interns the key of li relative to the accessed allocation.
+func (db *DB) lockKeyID(li *LockInfo, a *Allocation) KeyID {
+	kind := EO
+	switch li.OwnerID {
+	case 0:
+		kind = Global
+	case a.ID:
+		kind = ES
 	}
+	if db.keyMemo == nil {
+		return db.intern(keyFor(li, kind))
+	}
+	ids := db.keyMemo[li]
+	if ids[kind] == 0 {
+		ids[kind] = db.intern(keyFor(li, kind)) + 1
+		db.keyMemo[li] = ids
+	}
+	return ids[kind] - 1
+}
+
+func keyFor(li *LockInfo, kind LockKind) LockKey {
+	if kind == Global {
+		return LockKey{Kind: Global, Class: li.Class, Name: li.Name}
+	}
+	return LockKey{Kind: kind, Class: li.Class, Name: li.Name, OwnerType: li.OwnerType}
 }
 
 func (db *DB) intern(k LockKey) KeyID {
@@ -623,16 +742,6 @@ func (db *DB) intern(k LockKey) KeyID {
 
 // Key returns the interned LockKey for a KeyID.
 func (db *DB) Key(id KeyID) LockKey { return db.keys[id] }
-
-// KeyByString finds an interned key by its rendered form.
-func (db *DB) KeyByString(s string) (KeyID, bool) {
-	for i, k := range db.keys {
-		if k.String() == s {
-			return KeyID(i), true
-		}
-	}
-	return 0, false
-}
 
 // InternKey interns a key (used by the checker for documented rules that
 // reference locks never observed).
@@ -669,7 +778,9 @@ func joinArrow(parts []string) string {
 	return out
 }
 
-func (db *DB) commit(a *Allocation, member int, write bool, seq LockSeq, events uint64, ctxEvents map[AccessCtx]uint64) {
+// commit merges one folded observation into its group. The raw events
+// are attributed to their access contexts from both count slices.
+func (db *DB) commit(a *Allocation, member int, write bool, seq LockSeq, sig string, events uint64, ctxs, more []ctxCount) {
 	sub := ""
 	if db.subbed[a.Type.Name] {
 		sub = a.Subclass
@@ -686,7 +797,6 @@ func (db *DB) commit(a *Allocation, member int, write bool, seq LockSeq, events 
 		db.groups[gk] = g
 	}
 	g.Gen = db.gen
-	sig := seq.Signature()
 	so := g.Seqs[sig]
 	if so == nil {
 		so = &SeqObs{Seq: seq, Contexts: make(map[AccessCtx]uint64)}
@@ -694,8 +804,11 @@ func (db *DB) commit(a *Allocation, member int, write bool, seq LockSeq, events 
 	}
 	so.Count++
 	so.Events += events
-	for c, n := range ctxEvents {
-		so.Contexts[c] += n
+	for _, c := range ctxs {
+		so.Contexts[c.ctx] += c.n
+	}
+	for _, c := range more {
+		so.Contexts[c.ctx] += c.n
 	}
 	g.Total++
 	g.EventSum += events
@@ -726,9 +839,8 @@ func (db *DB) Groups() []*ObsGroup {
 
 // Group looks up one observation group.
 func (db *DB) Group(typeName, subclass, member string, write bool) (*ObsGroup, bool) {
-	for _, g := range db.groups {
-		if g.Type.Name == typeName && g.Key.Subclass == subclass &&
-			g.MemberName() == member && g.Key.Write == write {
+	for _, g := range db.named(typeName, member, write) {
+		if g.Key.Subclass == subclass {
 			db.hydrateForLookup(g)
 			return g, true
 		}
@@ -749,10 +861,7 @@ func (db *DB) GroupMerged(typeName, subclass, member string, write bool) (*ObsGr
 		return nil, false
 	}
 	var merged *ObsGroup
-	for _, g := range db.groups {
-		if g.Type.Name != typeName || g.MemberName() != member || g.Key.Write != write {
-			continue
-		}
+	for _, g := range db.named(typeName, member, write) {
 		db.hydrateForLookup(g)
 		if merged == nil {
 			merged = &ObsGroup{

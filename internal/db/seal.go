@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"time"
 
 	"lockdoc/internal/trace"
@@ -43,13 +44,13 @@ func (db *DB) Seal() *DB {
 		keyIDs:       db.keyIDs,
 		keyIDsShared: true,
 		groups:       make(map[GroupKey]*ObsGroup, len(db.groups)),
-		subbed:  db.subbed,
-		blFuncs: db.blFuncs,
-		blMembs: db.blMembs,
-		noWoR:   db.noWoR,
-		lenient: db.lenient,
-		gen:     db.gen,
-		sealed:  true,
+		subbed:       db.subbed,
+		blFuncs:      db.blFuncs,
+		blMembs:      db.blMembs,
+		noWoR:        db.noWoR,
+		lenient:      db.lenient,
+		gen:          db.gen,
+		sealed:       true,
 
 		RawAccesses:      db.RawAccesses,
 		FilteredAccesses: db.FilteredAccesses,
@@ -72,9 +73,10 @@ func (db *DB) Seal() *DB {
 	// Finalize the open transactions on the view only, in exactly the
 	// order Flush would use, so the view equals batch-import output.
 	// commitObs interns any new lock keys into the view's private key
-	// tables and copy-on-write clones the shared groups it touches, so
-	// the live store sees none of it; non-destructive mode leaves the
-	// pending observations for the live store's own eventual flush.
+	// tables (the view has no interning memos, see DB.keyMemo) and
+	// copy-on-write clones the shared groups it touches, so the live
+	// store sees none of it; the pending observations stay in place for
+	// the live store's own eventual flush.
 	for _, id := range sortedCtxIDs(db.ctxState) {
 		cs := db.ctxState[id]
 		if len(cs.pending) == 0 {
@@ -82,10 +84,7 @@ func (db *DB) Seal() *DB {
 		}
 		view.OpenAtEOF++
 		view.Transactions++
-		var order []pendKey
-		for _, pk := range sortedPendKeys(cs.pending, &order) {
-			view.commitObs(cs.held, cs.pending[pk], false)
-		}
+		view.commitTxn(cs.held, slices.SortedFunc(slices.Values(cs.pending), comparePend))
 	}
 	if view.keyIDsShared {
 		// Nothing interned a new key into the view: drop the borrowed

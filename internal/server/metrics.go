@@ -20,13 +20,13 @@ type serverMetrics struct {
 	uploadBytes *obs.Counter // raw trace bytes accepted via trace uploads
 
 	// Incremental-ingestion counters.
-	appends       *obs.Counter // delta snapshots published via append mode
-	appendEvents  *obs.Counter // events merged by appends
-	appendNanos   *obs.Counter // wall time spent in append publication
-	groupsDirtied *obs.Counter // observation groups appends touched
+	appends        *obs.Counter // delta snapshots published via append mode
+	appendEvents   *obs.Counter // events merged by appends
+	appendNanos    *obs.Counter // wall time spent in append publication
+	groupsDirtied  *obs.Counter // observation groups appends touched
 	groupsRemined  *obs.Counter // groups delta derivations re-mined
 	groupsReused   *obs.Counter // groups answered from per-group caches
-	groupsPremined *obs.Counter // groups pre-mined by the fused pipeline before publish
+	groupsPremined *obs.Counter // groups the ingest pipeline answered from its delta cache before publish
 
 	// Request-level observability.
 	inflight *obs.Gauge                // requests currently being served
@@ -77,13 +77,13 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		reloads:     reg.Counter("lockdocd_reloads_total", "Trace snapshots published."),
 		uploadBytes: reg.Counter("lockdocd_upload_bytes_total", "Raw trace bytes accepted via /v1/traces."),
 
-		appends:       reg.Counter("lockdocd_appends_total", "Delta snapshots published via /v1/traces append mode."),
-		appendEvents:  reg.Counter("lockdocd_append_events_total", "Trace events merged by appends."),
-		appendNanos:   reg.Counter("lockdocd_append_nanos_total", "Wall-clock nanoseconds spent publishing appends (consume+seal+checks)."),
-		groupsDirtied: reg.Counter("lockdocd_groups_dirtied_total", "Observation groups touched by appends."),
+		appends:        reg.Counter("lockdocd_appends_total", "Delta snapshots published via /v1/traces append mode."),
+		appendEvents:   reg.Counter("lockdocd_append_events_total", "Trace events merged by appends."),
+		appendNanos:    reg.Counter("lockdocd_append_nanos_total", "Wall-clock nanoseconds spent publishing appends (consume+seal+checks)."),
+		groupsDirtied:  reg.Counter("lockdocd_groups_dirtied_total", "Observation groups touched by appends."),
 		groupsRemined:  reg.Counter("lockdocd_groups_remined_total", "Observation groups re-mined by delta derivations."),
 		groupsReused:   reg.Counter("lockdocd_groups_reused_total", "Observation groups answered from per-group derivation caches."),
-		groupsPremined: reg.Counter("lockdocd_groups_premined_total", "Observation groups whose rules were pre-mined by the fused ingest pipeline before snapshot publish."),
+		groupsPremined: reg.Counter("lockdocd_groups_premined_total", "Observation groups whose rules the ingest pipeline reused from its delta cache before snapshot publish."),
 
 		inflight: reg.Gauge("lockdocd_inflight_requests", "Requests currently being served."),
 		latency:  make(map[string]*obs.Histogram, len(latencyEndpoints)),

@@ -1,6 +1,6 @@
 // Per-namespace serving state. Every tenant owns the full single-
 // server machinery of the pre-namespace design: an appendable live
-// store wrapped in a fused StreamDeriver, a published immutable
+// store wrapped in a StreamDeriver, a published immutable
 // Snapshot, an options-keyed derivation cache, its own generation and
 // epoch counters, and (when configured) its own segment-store or
 // checkpoint subdirectory. The Server holds these in the sharded
@@ -112,17 +112,9 @@ func (ns *namespace) loadTrace(r io.Reader, source string, persist bool) (*Snaps
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	live := db.New(s.importConfig())
-	// Fused ingest→derive: speculative snapshots mine in the background
-	// while later sync blocks decode, and the definitive pass below
-	// prices in only what speculation missed. The results are
-	// byte-identical to a phased consume+seal+derive.
+	// Ingest and derive in one pass: consume, seal, mine. The results
+	// are adopted into the rule cache below.
 	sd := core.NewStreamDeriver(live, s.streamOptions())
-	adopted := false
-	defer func() {
-		if !adopted {
-			sd.Close()
-		}
-	}()
 	if _, err := sd.Consume(tr); err != nil {
 		return nil, fmt.Errorf("server: importing %s: %w", source, err)
 	}
@@ -182,7 +174,6 @@ func (ns *namespace) loadTrace(r io.Reader, source string, persist bool) (*Snaps
 	}
 	ns.live = live
 	ns.sd = sd
-	adopted = true
 	ns.snap.Store(snap)
 	ns.cache.reset()
 	// The definitive pass already derived the default-options rules;
@@ -330,16 +321,7 @@ func (ns *namespace) openStoreLocked() (*Snapshot, error) {
 		source = "store-replay:" + ns.store.Dir()
 		tr := trace.NewContinuationReader(ns.store.TraceReader(), s.cfg.Ingest)
 		live = db.New(s.importConfig())
-		// Replay through the fused pipeline: segment decode and rule
-		// mining overlap, so the recovery path pays max(decode, mine)
-		// rather than their sum.
 		sd = core.NewStreamDeriver(live, s.streamOptions())
-		adopted := false
-		defer func() {
-			if !adopted {
-				sd.Close()
-			}
-		}()
 		if _, err := sd.Consume(tr); err != nil {
 			return nil, fmt.Errorf("server: replaying store trace: %w", err)
 		}
@@ -347,7 +329,6 @@ func (ns *namespace) openStoreLocked() (*Snapshot, error) {
 		if view, replayResults, _, derr = sd.Derive(s.stopCtx); derr != nil {
 			return nil, fmt.Errorf("server: deriving store trace: %w", derr)
 		}
-		adopted = true
 		if view.RawAccesses == 0 && len(view.Groups()) == 0 {
 			return nil, fmt.Errorf("server: store trace contains no decodable observations%s",
 				degradedSuffix(view))

@@ -199,7 +199,7 @@ type Snapshot struct {
 type AppendStats struct {
 	Events   int           // events decoded and merged
 	Dirty    int           // observation groups the append touched
-	Premined int           // groups answered from speculative pre-mining
+	Premined int           // groups answered from the delta cache, unchanged by the append
 	Elapsed  time.Duration // consume + seal + checks + publish
 }
 
@@ -491,10 +491,7 @@ func (s *Server) evictNS(ns *namespace) bool {
 	if ns.store == nil && ns.ckpt == nil {
 		return false // no durable copy; eviction would lose the tenant's data
 	}
-	if ns.sd != nil {
-		ns.sd.Close()
-		ns.sd = nil
-	}
+	ns.sd = nil
 	ns.live = nil
 	ns.snap.Store(nil)
 	ns.cache.reset()
@@ -515,10 +512,7 @@ func (s *Server) deleteNamespace(ns *namespace, selfRefs int64) {
 	s.nsCount.Add(-1)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if ns.sd != nil {
-		ns.sd.Close()
-		ns.sd = nil
-	}
+	ns.sd = nil
 	ns.live = nil
 	ns.snap.Store(nil)
 	ns.cache.reset()

@@ -356,13 +356,6 @@ type ReaderOptions struct {
 	Metrics *Metrics
 }
 
-// byteSource is what event payloads are decoded from: the raw stream
-// for v1, the in-memory checksummed block for v2.
-type byteSource interface {
-	io.Reader
-	io.ByteReader
-}
-
 // countingReader counts bytes handed to the buffered reader so the
 // Reader can report absolute stream offsets in corruption reports.
 type countingReader struct {
@@ -381,15 +374,20 @@ func (c *countingReader) Read(p []byte) (int, error) {
 type Reader struct {
 	br   *bufio.Reader
 	cnt  *countingReader
-	src  byteSource
 	opts ReaderOptions
+
+	// src is the stream v1 events are decoded from. It is nil for v2,
+	// whose events decode straight from the verified block payload.
+	src *bufio.Reader
 
 	version int
 	lastSeq uint64
 	lastTS  uint64
 
-	// v2 block state.
-	blk      bytes.Reader
+	// v2 block state: blk is the current CRC-verified payload and pos
+	// the next byte to decode from it.
+	blk      []byte
+	pos      int
 	blockBuf []byte
 	inBlock  bool
 	blockOff int64  // stream offset of the current block's payload
@@ -423,13 +421,10 @@ func NewReaderOptions(r io.Reader, opts ReaderOptions) (*Reader, error) {
 			return nil, err
 		}
 		tr.version = FormatV2
-		tr.src = &tr.blk
 		tr.pending = err
 		return tr, nil
 	}
-	if tr.version == FormatV2 {
-		tr.src = &tr.blk
-	} else {
+	if tr.version == FormatV1 {
 		tr.src = br
 	}
 	return tr, nil
@@ -444,9 +439,7 @@ func NewReaderOptions(r io.Reader, opts ReaderOptions) (*Reader, error) {
 // offset instead of re-reading from 0.
 func NewContinuationReader(r io.Reader, opts ReaderOptions) *Reader {
 	cnt := &countingReader{r: r}
-	tr := &Reader{br: bufio.NewReaderSize(cnt, 1<<16), cnt: cnt, opts: opts, version: FormatV2}
-	tr.src = &tr.blk
-	return tr
+	return &Reader{br: bufio.NewReaderSize(cnt, 1<<16), cnt: cnt, opts: opts, version: FormatV2}
 }
 
 // HasHeader reports whether b starts with the trace file magic — i.e.
@@ -500,9 +493,42 @@ func noEOF(err error) error {
 	return err
 }
 
+// errVarintOverflow matches the error binary.ReadUvarint reports, so a
+// v2 payload fails with the same cause text as a v1 stream.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// The field decoders below read a v1 stream through src and a v2 block
+// by indexing its payload, consuming the same bytes on failure either
+// way (corruption reports charge the rest of a block as lost).
+
 func (r *Reader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r.src)
-	return v, noEOF(err)
+	// Most fields (deltas, IDs, sizes) fit one byte: take those without
+	// the general decoder.
+	if r.src == nil && r.pos < len(r.blk) && r.blk[r.pos] < 0x80 {
+		r.pos++
+		return uint64(r.blk[r.pos-1]), nil
+	}
+	return r.uvarintSlow()
+}
+
+func (r *Reader) uvarintSlow() (uint64, error) {
+	if r.src != nil {
+		v, err := binary.ReadUvarint(r.src)
+		return v, noEOF(err)
+	}
+	rest := r.blk[r.pos:]
+	v, n := binary.Uvarint(rest)
+	switch {
+	case n > 0:
+		r.pos += n
+		return v, nil
+	case n == 0 && len(rest) < binary.MaxVarintLen64:
+		r.pos = len(r.blk)
+		return 0, io.ErrUnexpectedEOF
+	default:
+		r.pos += binary.MaxVarintLen64
+		return 0, errVarintOverflow
+	}
 }
 
 func (r *Reader) u32() (uint32, error) {
@@ -517,8 +543,21 @@ func (r *Reader) u32() (uint32, error) {
 }
 
 func (r *Reader) byte() (byte, error) {
-	b, err := r.src.ReadByte()
+	b, err := r.firstByte()
 	return b, noEOF(err)
+}
+
+// firstByte reads one byte; io.EOF means the source is exhausted.
+func (r *Reader) firstByte() (byte, error) {
+	if r.src != nil {
+		return r.src.ReadByte()
+	}
+	if r.pos == len(r.blk) {
+		return 0, io.EOF
+	}
+	b := r.blk[r.pos]
+	r.pos++
+	return b, nil
 }
 
 func (r *Reader) bool() (bool, error) {
@@ -543,6 +582,15 @@ func (r *Reader) string() (string, error) {
 	}
 	if n > maxWireString {
 		return "", fmt.Errorf("%w: string length %d too large", ErrCorrupt, n)
+	}
+	if r.src == nil {
+		if n > uint64(len(r.blk)-r.pos) {
+			r.pos = len(r.blk)
+			return "", fmt.Errorf("trace: reading string: %w", io.ErrUnexpectedEOF)
+		}
+		s := string(r.blk[r.pos : r.pos+int(n)])
+		r.pos += int(n)
+		return s, nil
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r.src, buf); err != nil {
@@ -640,11 +688,11 @@ func (r *Reader) readV2(ev *Event) error {
 				continue
 			}
 		}
-		if r.blk.Len() == 0 {
+		if r.pos == len(r.blk) {
 			r.inBlock = false
 			continue
 		}
-		consumed := int64(r.blk.Size()) - int64(r.blk.Len())
+		consumed := int64(r.pos)
 		err := r.decodeEvent(ev)
 		if err == nil {
 			return nil
@@ -652,7 +700,7 @@ func (r *Reader) readV2(ev *Event) error {
 		// The block passed its CRC yet an event failed to decode: the
 		// payload itself is inconsistent. Drop the rest of the block;
 		// the stream is already positioned at the next marker.
-		lost := int64(r.blk.Len())
+		lost := int64(len(r.blk) - r.pos)
 		r.inBlock = false
 		err = fmt.Errorf("%w: undecodable event in checksummed block: %v", ErrCorrupt, err)
 		if !r.opts.Lenient {
@@ -726,7 +774,7 @@ func (r *Reader) readBlockBody() error {
 	r.lastSeq, r.lastTS = baseSeq, baseTS
 	r.blockOff = r.offset() - int64(n)
 	r.blockEnd = r.offset()
-	r.blk.Reset(buf)
+	r.blk, r.pos = buf, 0
 	r.inBlock = true
 	r.blocks++
 	r.opts.Metrics.block()
@@ -735,9 +783,8 @@ func (r *Reader) readBlockBody() error {
 
 // Blocks returns the number of v2 sync blocks whose payload has been
 // read and CRC-verified so far (0 for v1 traces, which have no
-// blocks). Consumers that act on verified-block granularity — the
-// streaming deriver seals speculative snapshots only at block
-// boundaries — watch this advance between events.
+// blocks). Consumers that act on verified-block granularity watch this
+// advance between events.
 func (r *Reader) Blocks() uint64 { return r.blocks }
 
 // LastBlockEnd returns the stream offset just past the most recent v2
@@ -815,7 +862,7 @@ func (r *Reader) scanSync() (int64, error) {
 // the very first byte is a clean end of the source; any later
 // truncation surfaces as io.ErrUnexpectedEOF.
 func (r *Reader) decodeEvent(ev *Event) error {
-	kindByte, err := r.src.ReadByte()
+	kindByte, err := r.firstByte()
 	if err != nil {
 		return err // io.EOF at a clean event boundary
 	}
