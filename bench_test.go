@@ -710,12 +710,14 @@ func BenchmarkDeriveIncrementalAppend(b *testing.B) {
 }
 
 // BenchmarkDeriveSequential is the single-threaded reference for the
-// lockdocd cache-miss path: derive every group of the synthetic trace.
+// lockdocd cache-miss path: derive every group of the synthetic trace
+// with one worker.
 func BenchmarkDeriveSequential(b *testing.B) {
 	d := synthFixture(b)
+	opt := core.Options{AcceptThreshold: 0.9, Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DeriveAll(context.Background(), d, core.Options{AcceptThreshold: 0.9}); err != nil {
+		if _, err := core.DeriveAll(context.Background(), d, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"lockdoc/internal/db"
@@ -16,24 +18,30 @@ import (
 //
 // The miner fuses enumeration and scoring into one depth-first walk of
 // the (implicit) permutation trie. A trie node is a candidate
-// hypothesis: the KeyID-labelled path from the root. The DFS carries a
-// projected state per observed sequence:
+// hypothesis: the KeyID-labelled path from the root. The DFS carries
+// two projected lists, one per question a node has to answer:
 //
-//   - used: which positions of the sequence the path has consumed
-//     (multiset bookkeeping — the node is a permutation of a
-//     sub-multiset of the sequence iff the sequence is still in the
-//     node's active list),
-//   - pos: the greedy subsequence-match position, or -1 once the path
-//     stopped being a subsequence of the sequence.
+//   - classes (which children exist): one representative sequence per
+//     distinct lock multiset of the group that still contains the
+//     node's multiset, with a bitmask of the representative's positions
+//     the path has consumed. Duplicates count, so [a,a,b] and [a,b,b]
+//     are different classes. Candidates are permutations of
+//     sub-multisets, so every permutation of one multiset generates
+//     exactly the same children and one representative stands for all
+//     of them.
+//   - matches (what the node's s_a is): the sequences the path is still
+//     a subsequence of, each with its greedy leftmost match position.
+//     This list only shrinks with depth; sequences that merely contain
+//     the multiset are not on it.
 //
-// Extending a node by lock k drops sequences with no unused occurrence
-// of k, advances pos for the rest, and sums s_a over the sequences
-// whose pos is still valid — greedy leftmost matching decides
-// subsequence-ness exactly, so the node's s_a is final the moment it is
-// created. Every distinct candidate is visited exactly once (children
-// are the distinct keys remaining across active sequences), so no
-// signature map is needed, and all per-node work happens in scratch
-// buffers owned by the miner and reused across groups.
+// Extending a node by lock k keeps the classes with an unused
+// occurrence of k and the matches that find k at or after their
+// position, and sums s_a over the latter — greedy leftmost matching
+// decides subsequence-ness exactly, so the node's s_a is final the
+// moment it is created. Every distinct candidate is visited exactly
+// once (children are the distinct keys remaining across the classes),
+// so no signature map is needed, and all per-node work happens in
+// scratch buffers owned by the miner and reused across groups.
 //
 // Threshold pruning: s_a is anti-monotone under hypothesis extension
 // (appending a lock can only lose supporting observations — see
@@ -45,12 +53,20 @@ import (
 // therefore byte-identical to the unpruned reference
 // (TestMinerMatchesReference, FuzzDeriveEquivalence).
 type miner struct {
-	nodes  []minerNode  // trie arena, reset per group
-	seqs   []*db.SeqObs // flattened observation sequences of the group
-	levels [][]seqState // per-depth projected active lists
-	exts   [][]db.KeyID // per-depth distinct extension keys
-	stamp  []uint32     // per-KeyID generation marks for ext dedup
-	gen    uint32
+	nodes   []minerNode    // trie arena, reset per group
+	seqs    []*db.SeqObs   // flattened observation sequences of the group
+	classes [][]classState // per-depth class lists (candidate generation)
+	matches [][]matchState // per-depth match lists (support)
+	exts    [][]db.KeyID   // per-depth distinct extension keys
+	stamp   []uint32       // per-KeyID generation marks for ext dedup
+	gen     uint32
+
+	// Class deduplication (newClass): a sequence's keys are sorted and
+	// encoded into reused buffers, so looking its multiset up in seen
+	// does not allocate; only recording a new class does.
+	sorted   db.LockSeq
+	classKey []byte
+	seen     map[string]struct{}
 
 	// Scratch-materialization state (work-stealing engine workers with
 	// an interner). In prune mode the cut-off keeps only a handful of
@@ -80,12 +96,18 @@ type minerNode struct {
 	sa     uint64
 }
 
-// seqState is the projection of one observed sequence onto the current
-// trie node.
-type seqState struct {
-	idx  int32  // index into miner.seqs
-	pos  int32  // greedy subsequence-match position; -1 = not a subsequence
-	used uint64 // bitmask of consumed sequence positions
+// classState projects one lock-multiset class onto the current trie
+// node.
+type classState struct {
+	idx  int32  // index into miner.seqs of the class representative
+	used uint64 // bitmask of the representative's consumed positions
+}
+
+// matchState projects one observed sequence the current node's path
+// is a subsequence of.
+type matchState struct {
+	idx int32 // index into miner.seqs
+	pos int32 // position after the greedy leftmost match of the path
 }
 
 // maxMinerSeqLen bounds the used-position bitmask; groups observing a
@@ -140,13 +162,36 @@ func (m *miner) mine(g *db.ObsGroup, opt Options) ([]Hypothesis, bool) {
 	// trivially complies.
 	m.nodes = m.nodes[:0]
 	m.nodes = append(m.nodes, minerNode{parent: -1, sa: g.Total})
-	root := m.level(0)[:0]
-	for i := range m.seqs {
-		root = append(root, seqState{idx: int32(i)})
+	classes, matches := levelBuf(&m.classes, 0), levelBuf(&m.matches, 0)
+	if m.seen == nil {
+		m.seen = make(map[string]struct{})
 	}
-	m.levels[0] = root
-	m.expand(0, 0, root)
+	clear(m.seen)
+	for i, so := range m.seqs {
+		matches = append(matches, matchState{idx: int32(i)})
+		if m.newClass(so.Seq) {
+			classes = append(classes, classState{idx: int32(i)})
+		}
+	}
+	m.classes[0], m.matches[0] = classes, matches
+	m.expand(0, 0, classes, matches)
 	return m.materialize(), true
+}
+
+// newClass reports whether s is the first sequence of the group with
+// its lock multiset, recording the multiset if so.
+func (m *miner) newClass(s db.LockSeq) bool {
+	m.sorted = append(m.sorted[:0], s...)
+	slices.Sort(m.sorted)
+	m.classKey = m.classKey[:0]
+	for _, k := range m.sorted {
+		m.classKey = binary.LittleEndian.AppendUint32(m.classKey, uint32(k))
+	}
+	if _, ok := m.seen[string(m.classKey)]; ok {
+		return false
+	}
+	m.seen[string(m.classKey)] = struct{}{}
+	return true
 }
 
 // scratchActive reports whether materialize may write into the reused
@@ -159,24 +204,23 @@ func (m *miner) scratchActive() bool { return m.scratch && m.prune }
 
 // expand generates all children of the node at nodeIdx (depth levels
 // below the root) and recurses into the surviving subtrees.
-func (m *miner) expand(nodeIdx int32, depth int, active []seqState) {
+func (m *miner) expand(nodeIdx int32, depth int, classes []classState, matches []matchState) {
 	if depth == m.maxLen {
 		return
 	}
 
 	// Distinct extension keys: every key with an unused occurrence in
-	// at least one active sequence, deduplicated with generation marks.
-	exts := m.extLevel(depth)[:0]
+	// at least one class, deduplicated with generation marks.
+	exts := levelBuf(&m.exts, depth)
 	m.gen++
 	if m.gen == 0 { // generation counter wrapped: invalidate all marks
 		clear(m.stamp)
 		m.gen = 1
 	}
 	gen := m.gen
-	for _, st := range active {
-		s := m.seqs[st.idx].Seq
-		for p, k := range s {
-			if st.used&(1<<uint(p)) != 0 {
+	for _, c := range classes {
+		for p, k := range m.seqs[c.idx].Seq {
+			if c.used&(1<<uint(p)) != 0 {
 				continue
 			}
 			if int(k) >= len(m.stamp) {
@@ -192,47 +236,42 @@ func (m *miner) expand(nodeIdx int32, depth int, active []seqState) {
 	m.exts[depth] = exts
 
 	for _, k := range exts {
-		child := m.level(depth + 1)[:0]
+		// Greedy leftmost subsequence matching: the extended path
+		// complies with a sequence iff k occurs at or after the
+		// parent's match position.
+		childMatches := levelBuf(&m.matches, depth+1)
 		var sa uint64
-		for _, st := range active {
-			s := m.seqs[st.idx].Seq
-			// Consume one unused occurrence of k; a sequence with
-			// none left stops being a permutation superset and
-			// drops out of the projection.
-			found := -1
-			for p := range s {
-				if st.used&(1<<uint(p)) == 0 && s[p] == k {
-					found = p
+		for _, mt := range matches {
+			so := m.seqs[mt.idx]
+			for p := mt.pos; p < int32(len(so.Seq)); p++ {
+				if so.Seq[p] == k {
+					childMatches = append(childMatches, matchState{idx: mt.idx, pos: p + 1})
+					sa += so.Count
 					break
 				}
 			}
-			if found < 0 {
-				continue
-			}
-			cst := seqState{idx: st.idx, pos: -1, used: st.used | 1<<uint(found)}
-			if st.pos >= 0 {
-				// Greedy leftmost subsequence matching: the
-				// extended path complies iff k occurs at or after
-				// the parent's match position.
-				for p := st.pos; p < int32(len(s)); p++ {
-					if s[p] == k {
-						cst.pos = p + 1
-						sa += m.seqs[st.idx].Count
-						break
-					}
-				}
-			}
-			child = append(child, cst)
 		}
 		if m.prune && float64(sa)/m.total < m.bound {
 			continue // s_a is anti-monotone: the whole subtree is dead
 		}
-		m.levels[depth+1] = child
+
+		// Consume one unused occurrence of k; a class with none left
+		// stops containing the child's multiset and drops out.
+		childClasses := levelBuf(&m.classes, depth+1)
+		for _, c := range classes {
+			for p, x := range m.seqs[c.idx].Seq {
+				if x == k && c.used&(1<<uint(p)) == 0 {
+					childClasses = append(childClasses, classState{idx: c.idx, used: c.used | 1<<uint(p)})
+					break
+				}
+			}
+		}
+		m.classes[depth+1], m.matches[depth+1] = childClasses, childMatches
 		ci := int32(len(m.nodes))
 		m.nodes = append(m.nodes, minerNode{
 			parent: nodeIdx, depth: int32(depth) + 1, key: k, sa: sa,
 		})
-		m.expand(ci, depth+1, child)
+		m.expand(ci, depth+1, childClasses, childMatches)
 	}
 }
 
@@ -283,18 +322,13 @@ func (m *miner) materialize() []Hypothesis {
 	return hyps
 }
 
-func (m *miner) level(d int) []seqState {
-	for len(m.levels) <= d {
-		m.levels = append(m.levels, nil)
+// levelBuf returns the emptied depth-d buffer of a per-depth scratch
+// stack, growing the stack as needed.
+func levelBuf[T any](levels *[][]T, d int) []T {
+	for len(*levels) <= d {
+		*levels = append(*levels, nil)
 	}
-	return m.levels[d]
-}
-
-func (m *miner) extLevel(d int) []db.KeyID {
-	for len(m.exts) <= d {
-		m.exts = append(m.exts, nil)
-	}
-	return m.exts[d]
+	return (*levels)[d][:0]
 }
 
 func (m *miner) growStamp(n int) {

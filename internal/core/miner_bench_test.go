@@ -41,8 +41,12 @@ func engineBenchGroup(depth, poolSize, nOrders int) (*db.DB, *db.ObsGroup) {
 // (<= 3%, EXPERIMENTS.md): "nilmetrics" is the default uninstrumented
 // path, "metrics" records per-group latency/trie instruments into a
 // live registry that is never dumped (the no-op sink configuration).
+// "trie/permuted" mines one group shaped like the synthetic wide-lock
+// trace's: 120 random orders of 4 of a 5-lock pool, so many sequences
+// share few lock multisets.
 func BenchmarkDeriveEngine(b *testing.B) {
 	d, g := engineBenchGroup(7, 10, 12)
+	pd, pg := engineBenchGroup(4, 5, 120)
 	ctx := context.Background()
 	deriveCtx := func(d *db.DB, g *db.ObsGroup, opt Options) Result {
 		return Derive(ctx, d, g, opt)
@@ -51,17 +55,20 @@ func BenchmarkDeriveEngine(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		derive func(*db.DB, *db.ObsGroup, Options) Result
+		d      *db.DB
+		g      *db.ObsGroup
 		opt    Options
 	}{
-		{"reference", deriveReference, Options{AcceptThreshold: 0.9}},
-		{"trie/full", deriveCtx, Options{AcceptThreshold: 0.9}},
-		{"trie/full+obs=metrics", deriveCtx, obsOpt},
-		{"trie/cutoff=0.1", deriveCtx, Options{AcceptThreshold: 0.9, CutoffThreshold: 0.1}},
+		{"reference", deriveReference, d, g, Options{AcceptThreshold: 0.9}},
+		{"trie/full", deriveCtx, d, g, Options{AcceptThreshold: 0.9}},
+		{"trie/full+obs=metrics", deriveCtx, d, g, obsOpt},
+		{"trie/cutoff=0.1", deriveCtx, d, g, Options{AcceptThreshold: 0.9, CutoffThreshold: 0.1}},
+		{"trie/permuted", deriveCtx, pd, pg, Options{AcceptThreshold: 0.9}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.derive(d, g, c.opt)
+				c.derive(c.d, c.g, c.opt)
 			}
 		})
 	}

@@ -77,6 +77,50 @@ func TestMinerHandBuiltEdgeCases(t *testing.T) {
 	}
 }
 
+// TestMinerPermutationClasses covers the shapes the class list
+// collapses: many acquisition orders of one lock set (few classes, many
+// matches, like the synthetic wide-lock trace), classes that differ
+// only in lock multiplicity, and length caps below the longest
+// sequence with and without a cut-off.
+func TestMinerPermutationClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := []string{"a", "b", "c", "d", "e"}
+	orders := make(map[string]uint64)
+	for len(orders) < 100 { // 4 of 5 locks: 120 possible orders
+		names := make([]string, 4)
+		for i, l := range rng.Perm(len(pool))[:4] {
+			names[i] = pool[l]
+		}
+		orders[strings.Join(names, ",")] += uint64(1 + rng.Intn(4))
+	}
+	multiplicity := map[string]uint64{
+		"a,a,b": 4, "a,b,a": 1, "b,a,a": 2,
+		"a,b,b": 3, "b,b,a": 5,
+		"a,b": 2, "b,a": 1,
+	}
+	mixed := map[string]uint64{"": 3}
+	for sig, n := range orders {
+		mixed[sig] = n
+	}
+	for sig, n := range multiplicity {
+		mixed[sig] += n
+	}
+	opts := append([]Options{
+		{AcceptThreshold: 0.9, MaxLocks: 3},
+		{AcceptThreshold: 0.9, MaxLocks: 3, CutoffThreshold: 0.05},
+		{AcceptThreshold: 0.7, MaxLocks: 2, CutoffThreshold: 0.3},
+	}, minerOptMatrix...)
+	for name, seqs := range map[string]map[string]uint64{
+		"orders": orders, "multiplicity": multiplicity, "mixed": mixed,
+	} {
+		d := db.New(db.Config{})
+		g := buildGroup(d, seqs)
+		for _, opt := range opts {
+			checkMinerEquivalence(t, name, d, g, opt)
+		}
+	}
+}
+
 // randomGroup builds an observation group with nSeqs random sequences
 // over nKeys locks; sequences may repeat a lock (duplicates).
 func randomGroup(rng *rand.Rand, d *db.DB, nKeys, maxSeqLen, nSeqs int) *db.ObsGroup {
@@ -186,6 +230,10 @@ func FuzzDeriveEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0xFF, 2, 1, 0}, uint8(90), uint8(10), uint8(0), false)
 	f.Add([]byte{0, 0, 1, 0xFF, 1, 0, 0, 0xFF}, uint8(75), uint8(50), uint8(2), true)
 	f.Add([]byte{5, 4, 3, 2, 1, 0, 0xFF, 0, 1, 2, 3, 4, 5}, uint8(99), uint8(0), uint8(3), false)
+	// Orders of one lock set plus classes differing only in multiplicity,
+	// capped below the longest sequence.
+	f.Add([]byte{0, 1, 2, 3, 0xFF, 3, 2, 1, 0, 0xFF, 1, 3, 0, 2, 0xFF, 2, 0, 3, 1, 0xFF,
+		0, 0, 1, 0xFF, 0, 1, 1, 0xFF, 1, 0, 0xFF, 0, 1}, uint8(90), uint8(0), uint8(3), false)
 	f.Fuzz(func(t *testing.T, data []byte, tacU, tcoU, maxLocks uint8, naive bool) {
 		const nKeys = 6
 		d := db.New(db.Config{})

@@ -94,6 +94,7 @@ type DB struct {
 	lastCtxID   uint32
 	lastCtx     *ctxState       // ctxState[lastCtxID], nil before the first lookup
 	stackBlMemo map[uint32]int8 // stackID -> -1 not blacklisted / 1 blacklisted
+	topBlMemo   map[uint32]int8 // stack-0 verdicts by innermost FuncID, same values
 	freePend    []*pendObs      // recycled pending observations
 	noWoR       bool
 	lenient     bool
@@ -230,6 +231,7 @@ func New(cfg Config) *DB {
 		blMembs:     make(map[string]map[string]bool),
 		ctxState:    make(map[uint32]*ctxState),
 		stackBlMemo: make(map[uint32]int8),
+		topBlMemo:   make(map[uint32]int8),
 		keyMemo:     make(map[*LockInfo][3]KeyID),
 		seqMemo:     make(map[seqMemoKey]seqMemo),
 	}
@@ -457,9 +459,15 @@ func (db *DB) resolve(addr uint64) *Allocation {
 }
 
 // stackBlacklisted reports whether any frame of the stack is
-// black-listed, memoized per stack ID.
+// black-listed, memoized per stack ID. An access without an interned
+// stack (stack 0) is also black-listed when its innermost function is,
+// so its verdict is memoized per innermost function instead.
 func (db *DB) stackBlacklisted(stackID uint32, innermost uint32) bool {
-	if v, ok := db.stackBlMemo[stackID]; ok {
+	memo, key := db.stackBlMemo, stackID
+	if stackID == 0 {
+		memo, key = db.topBlMemo, innermost
+	}
+	if v, ok := memo[key]; ok {
 		return v > 0
 	}
 	bl := false
@@ -478,7 +486,7 @@ func (db *DB) stackBlacklisted(stackID uint32, innermost uint32) bool {
 	if bl {
 		v = 1
 	}
-	db.stackBlMemo[stackID] = v
+	memo[key] = v
 	return bl
 }
 

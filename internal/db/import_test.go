@@ -342,6 +342,36 @@ func TestFilters(t *testing.T) {
 	}
 }
 
+// TestStackZeroBlacklistPerFunction pins the verdict for accesses
+// without an interned stack (stack 0): each is filtered iff its own
+// innermost function is black-listed, whichever such access comes
+// first.
+func TestStackZeroBlacklistPerFunction(t *testing.T) {
+	for _, blFirst := range []bool{true, false} {
+		f := newFeeder(t, Config{FuncBlacklist: []string{"inode_init_always"}})
+		f.defType(1, "inode", trace.MemberDef{Name: "i_state", Offset: 0, Size: 8})
+		f.defFunc(1, "fs/inode.c", 1, "inode_init_always")
+		f.defFunc(2, "fs/inode.c", 50, "touch")
+		f.alloc(1, 1, 1, 0x1000, 8, "")
+		if blFirst {
+			f.write(1, 0x1000, 1, 0) // filtered
+			f.write(1, 0x1000, 2, 0) // kept
+		} else {
+			f.write(1, 0x1000, 2, 0) // kept
+			f.write(1, 0x1000, 1, 0) // filtered
+		}
+		f.db.Flush()
+
+		if f.db.FilteredAccesses != 1 {
+			t.Errorf("blacklisted first=%v: FilteredAccesses = %d, want 1", blFirst, f.db.FilteredAccesses)
+		}
+		g, ok := f.db.Group("inode", "", "i_state", true)
+		if !ok || g.EventSum != 1 {
+			t.Errorf("blacklisted first=%v: i_state group = %v, want 1 kept write", blFirst, g)
+		}
+	}
+}
+
 func TestSubclassing(t *testing.T) {
 	f := newFeeder(t, Config{SubclassedTypes: []string{"inode"}})
 	f.defType(1, "inode", trace.MemberDef{Name: "i_state", Offset: 0, Size: 8})
